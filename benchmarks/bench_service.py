@@ -2,8 +2,9 @@
 
 Boots a real :mod:`repro.service` HTTP server over a freshly built
 workspace, then fires concurrent clients at ``POST /query`` — one pass
-per concurrency level — and reports throughput (queries per second) and
-p50/p95/p99 latency for each level into
+per concurrency level, each client on one persistent HTTP/1.1
+connection as real clients keep them — and reports throughput
+(queries per second) and p50/p95/p99 latency for each level into
 ``benchmarks/results/service_load.txt``.  Every response is reassembled
 through the versioned schema and checked row-identical to the first,
 so the load run doubles as a correctness sweep: a server that got
@@ -12,11 +13,11 @@ faster by corrupting results fails here, not in production.
 
 from __future__ import annotations
 
+import http.client
 import json
 import tempfile
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 from repro.experiments.tables import format_grid
@@ -32,6 +33,9 @@ CONCURRENCY_LEVELS = (1, 4)
 #: queries each client fires per pass
 QUERIES_PER_CLIENT = 12
 
+#: how often ``serve_forever`` checks for shutdown (stdlib default 0.5 s)
+SERVER_POLL_SECONDS = 0.05
+
 
 def build_bench_workspace(directory: Path) -> None:
     c1 = generate_collection(
@@ -45,16 +49,21 @@ def build_bench_workspace(directory: Path) -> None:
     build_workspace(directory, c1, c2)
 
 
-def fire_queries(base_url: str, count: int, latencies: list[float], bodies: list[str]):
-    """One client: POST the query ``count`` times, recording each latency."""
+def fire_queries(port: int, count: int, latencies: list[float], bodies: list[str]):
+    """One client: POST the query ``count`` times on one kept-alive connection."""
     payload = json.dumps({"sql": SQL}).encode()
-    for _ in range(count):
-        request = urllib.request.Request(base_url + "/query", data=payload)
-        start = time.perf_counter()
-        with urllib.request.urlopen(request, timeout=60) as response:
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        for _ in range(count):
+            start = time.perf_counter()
+            connection.request("POST", "/query", body=payload)
+            response = connection.getresponse()
             text = response.read().decode()
-        latencies.append(time.perf_counter() - start)
-        bodies.append(text)
+            latencies.append(time.perf_counter() - start)
+            assert response.status == 200, text
+            bodies.append(text)
+    finally:
+        connection.close()
 
 
 def percentile(ordered: list[float], q: int) -> float:
@@ -62,7 +71,7 @@ def percentile(ordered: list[float], q: int) -> float:
     return ordered[int(rank) - 1]
 
 
-def run_level(base_url: str, clients: int) -> dict:
+def run_level(port: int, clients: int) -> dict:
     """One load pass: ``clients`` threads, each firing its query burst."""
     latencies: list[float] = []
     bodies: list[str] = []
@@ -71,7 +80,7 @@ def run_level(base_url: str, clients: int) -> dict:
     def client():
         mine: list[float] = []
         texts: list[str] = []
-        fire_queries(base_url, QUERIES_PER_CLIENT, mine, texts)
+        fire_queries(port, QUERIES_PER_CLIENT, mine, texts)
         with lock:
             latencies.extend(mine)
             bodies.extend(texts)
@@ -109,15 +118,18 @@ def test_service_load(benchmark, save_table):
         build_bench_workspace(workspace)
         service = JoinService({"ws": workspace}, max_workers=8)
         server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": SERVER_POLL_SECONDS},
+            daemon=True,
+        )
         thread.start()
-        base_url = f"http://127.0.0.1:{server.port}"
         try:
             # Timed claim for pytest-benchmark: one full single-client pass.
             benchmark.pedantic(
-                run_level, args=(base_url, 1), rounds=3, iterations=1
+                run_level, args=(server.port, 1), rounds=3, iterations=1
             )
-            rows = [run_level(base_url, clients) for clients in CONCURRENCY_LEVELS]
+            rows = [run_level(server.port, clients) for clients in CONCURRENCY_LEVELS]
         finally:
             server.shutdown()
             server.server_close()

@@ -159,6 +159,11 @@ class ServiceRequestError(ServiceError):
     wrongly-typed fields, unknown parameters).  Maps to HTTP 400."""
 
 
+class RequestTooLargeError(ServiceRequestError):
+    """A request declared a body larger than the service will read.
+    Maps to HTTP 413; the body is refused unread."""
+
+
 class ServiceResponseError(ServiceError):
     """A service response document is malformed (wrong schema tag,
     missing sections, mistyped fields).  Raised by the strict

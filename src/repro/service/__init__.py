@@ -7,8 +7,8 @@ one or more :mod:`repro.workspace` directories at startup (paying
 tokenisation/inversion/bulk-load zero times per query), admits requests
 onto a bounded worker pool with per-request
 :class:`~repro.exec.context.ExecutionBudget` enforcement, and streams
-result blocks the moment the underlying ``iter_*`` operator finalises
-them.  :mod:`repro.service.http` exposes it over HTTP/JSON
+result blocks as the underlying ``iter_*`` operator finalises them
+(buffered into 64 KiB sends over HTTP).  :mod:`repro.service.http` exposes it over HTTP/JSON
 (``POST /query`` chunked JSON lines, ``GET /health``,
 ``GET /metrics``) using only the stdlib ``http.server``;
 :mod:`repro.service.schema` pins the versioned response layout

@@ -19,7 +19,10 @@ touches every lazy artifact once, so concurrent queries only ever
   from :func:`repro.sql.executor.iter_execute`: one ``header``, one
   ``block`` per finalised outer document, and a terminal ``summary``
   (or ``error`` carrying the partial accounting when the budget ran
-  out mid-join).
+  out mid-join);
+* **writer priority** — while a mutation commits, every query yields
+  the interpreter before each block it produces, so a write costs about
+  what it costs alone however many readers are streaming.
 
 The slot is released — and the query folded into
 :class:`~repro.service.metrics.ServiceMetrics` — when the event
@@ -41,6 +44,7 @@ from repro.errors import (
     ExecutionCancelledError,
     InvalidParameterError,
     ReproError,
+    RequestTooLargeError,
     ServiceOverloadedError,
     ServiceRequestError,
     SqlSemanticError,
@@ -60,6 +64,7 @@ from repro.workspace import load_manifest, manifest_fingerprint, workspace_catal
 #: exception-to-error-code mapping, most specific class first; the
 #: service-level test suite pins this table against the HTTP statuses
 ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
+    (RequestTooLargeError, "request-too-large"),
     (ServiceRequestError, "bad-request"),
     (UnknownWorkspaceError, "unknown-workspace"),
     (ServiceOverloadedError, "overloaded"),
@@ -442,6 +447,17 @@ class JoinService:
             raise
         return self._events(request, handle, parsed, context, slot)
 
+    def _yield_to_writer(self) -> None:
+        """Hand the interpreter to a committing mutation, if one is running.
+
+        Queries and mutations are CPU-bound threads sharing one GIL, so
+        without this a reader takes about half of a write's time slice
+        and each write commits far slower than it would alone.  Writes
+        are serialised and rare; reads stream snapshots and can wait.
+        """
+        if self._mutation_lock.locked():
+            time.sleep(0)
+
     def _events(
         self,
         request: QueryRequest,
@@ -486,6 +502,7 @@ class JoinService:
                             break
                         blocks_streamed += 1
                         rows_streamed += len(block.rows)
+                        self._yield_to_writer()
                         yield {
                             "event": "block",
                             "outer_doc": block.outer_doc,

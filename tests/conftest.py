@@ -9,11 +9,11 @@ boilerplate: ``dev`` (the default) keeps the property suites fast for
 tier-1, ``ci`` digs deeper.  Select with ``HYPOTHESIS_PROFILE=ci``.
 
 The join-service suites (``tests/service/``) get their fixtures here
-too: a session-scoped built workspace, ``free_port`` and a
-``running_service`` handle that boots a real :mod:`repro.service`
-HTTP server on an ephemeral port in a background thread and tears it
-down afterwards.  Everything under ``tests/service/`` is auto-tagged
-with the ``service`` marker.
+too: session-scoped built workspaces, ``free_port`` and the
+``running_service``/``large_service`` handles that boot a real
+:mod:`repro.service` HTTP server on an ephemeral port in a background
+thread (:func:`serving`) and tear it down afterwards.  Everything under
+``tests/service/`` is auto-tagged with the ``service`` marker.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import socket
 import threading
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -41,6 +43,10 @@ from repro.text.collection import DocumentCollection
 from repro.workloads.synthetic import SyntheticSpec, generate_collection
 
 SMALL_PAGE = 512
+
+#: how often a test server's ``serve_forever`` checks for shutdown; the
+#: stdlib default (0.5 s) would be paid once per service test teardown
+SERVER_POLL_SECONDS = 0.05
 
 
 @pytest.fixture(scope="session")
@@ -179,20 +185,87 @@ class ServiceHandle:
         return status, json.loads(text)
 
 
-@pytest.fixture()
-def running_service(service_workspace) -> ServiceHandle:
-    """A live HTTP join service over the shared workspace."""
-    from repro.service import JoinService, make_server
+@contextmanager
+def serving(service) -> Iterator[ServiceHandle]:
+    """Serve ``service`` over HTTP from a background thread for the block."""
+    from repro.service import make_server
 
-    service = JoinService({"ws": service_workspace}, max_workers=4)
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    handle = ServiceHandle(
-        service=service, server=server,
-        base_url=f"http://127.0.0.1:{server.port}",
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": SERVER_POLL_SECONDS},
+        daemon=True,
     )
-    yield handle
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    thread.start()
+    try:
+        yield ServiceHandle(
+            service=service, server=server,
+            base_url=f"http://127.0.0.1:{server.port}",
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture()
+def running_service(service_workspace) -> Iterator[ServiceHandle]:
+    """A live HTTP join service over the shared workspace."""
+    from repro.service import JoinService
+
+    with serving(JoinService({"ws": service_workspace}, max_workers=4)) as handle:
+        yield handle
+
+
+@pytest.fixture(scope="session")
+def large_service_workspace(tmp_path_factory) -> Path:
+    """A workspace whose wide joins answer with well over 64 KiB.
+
+    300 x 100 documents: ``SIMILAR_TO(60)`` streams about 100 KiB of
+    events and ``SIMILAR_TO(200)`` about 330 KiB, so responses span
+    several fills of the server's write buffer.
+    """
+    from repro.workspace import build_workspace
+
+    directory = tmp_path_factory.mktemp("service-large-ws") / "ws"
+    c1 = generate_collection(
+        SyntheticSpec("svc-big-c1", n_documents=300, avg_terms_per_doc=8,
+                      vocabulary_size=300, seed=31)
+    )
+    c2 = generate_collection(
+        SyntheticSpec("svc-big-c2", n_documents=100, avg_terms_per_doc=8,
+                      vocabulary_size=300, seed=32)
+    )
+    build_workspace(directory, c1, c2)
+    return directory
+
+
+@pytest.fixture()
+def large_service(large_service_workspace) -> Iterator[ServiceHandle]:
+    """A live HTTP join service over the large workspace."""
+    from repro.service import JoinService
+
+    with serving(
+        JoinService({"ws": large_service_workspace}, max_workers=4)
+    ) as handle:
+        yield handle
+
+
+@pytest.fixture()
+def mutable_service(tmp_path) -> Iterator[tuple[ServiceHandle, Path]]:
+    """A live service over a private workspace the test may mutate."""
+    from repro.service import JoinService
+    from repro.workspace import build_workspace
+
+    directory = tmp_path / "ws"
+    c1 = generate_collection(
+        SyntheticSpec("mut-c1", n_documents=25, avg_terms_per_doc=8,
+                      vocabulary_size=120, seed=7)
+    )
+    c2 = generate_collection(
+        SyntheticSpec("mut-c2", n_documents=20, avg_terms_per_doc=8,
+                      vocabulary_size=120, seed=8)
+    )
+    build_workspace(directory, c1, c2)
+    with serving(JoinService({"ws": str(directory)}, max_workers=4)) as handle:
+        yield handle, directory

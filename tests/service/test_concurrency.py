@@ -13,6 +13,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.service.schema import response_from_lines
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
@@ -97,6 +99,55 @@ def test_disconnected_client_releases_its_slot(running_service):
     # The pool is whole again: a normal query still succeeds.
     status, _document = running_service.query({"sql": JOIN_SQL})
     assert status == 200
+
+
+@pytest.mark.parametrize(
+    "lam",
+    # About 100 KiB of events on the large workspace: the final flush
+    # is the send that finds the client gone.  About 330 KiB: a
+    # buffer-full write fails while the generator is still running.
+    [60, 200],
+    ids=["final-flush", "mid-stream"],
+)
+# Under ``python -X dev`` a writer finalised with bytes still pending
+# reports its failed flush as an unraisable exception; make that fail.
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_disconnect_past_the_buffer_releases_its_slot_quietly(
+    large_service, capfd, lam
+):
+    """A response longer than the write buffer is abandoned part-way.
+
+    The failing send must end the request inside the handler (generator
+    closed, slot released) and leave nothing for ``http.server``'s own
+    flushes to trip over, so no traceback reaches stderr.
+    """
+    service = large_service.service
+    host, port = "127.0.0.1", large_service.server.port
+    sql = f"SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO({lam}) R2.Doc"
+    body = json.dumps({"sql": sql}).encode()
+    request = (
+        f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+    with socket.create_connection((host, port), timeout=10) as raw:
+        raw.sendall(request)
+        # The first bytes arrive when the first 64 KiB buffer fills;
+        # hang up with the rest of the stream still unsent.
+        raw.recv(1)
+
+    deadline = time.monotonic() + 10
+    while service.in_flight and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert service.in_flight == 0
+    # Let the abandoned handler thread finish before reading stderr.
+    for thread in threading.enumerate():
+        if "process_request_thread" in thread.name:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    status, _document = large_service.query({"sql": JOIN_SQL})
+    assert status == 200
+    assert capfd.readouterr().err == ""
 
 
 def test_mixed_load_keeps_the_service_healthy(running_service):

@@ -7,7 +7,9 @@ for malformed bodies, bad SQL, unknown workspaces and blown budgets.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.errors import (
     ExecutionCancelledError,
     InvalidParameterError,
     ReproError,
+    RequestTooLargeError,
     ServiceOverloadedError,
     ServiceRequestError,
     SqlSemanticError,
@@ -24,12 +27,14 @@ from repro.errors import (
 )
 from repro.service import STATUS_BY_CODE, error_code_for
 from repro.service.core import ERROR_CODES
+from repro.service.http import MAX_BODY_BYTES
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
 
 #: the full error contract, pinned: exception -> service code -> HTTP status
 ERROR_TABLE = [
     (ServiceRequestError("x"), "bad-request", 400),
+    (RequestTooLargeError("x"), "request-too-large", 413),
     (SqlSyntaxError("x"), "sql-syntax", 400),
     (SqlSemanticError("x"), "sql-semantic", 400),
     (InvalidParameterError("x"), "invalid-parameter", 400),
@@ -136,6 +141,44 @@ def test_blown_budget_is_a_413_with_partial_accounting(running_service):
     assert error["pages_used"] >= 1
     assert set(error["stats"]) == {"sequential_reads", "random_reads"}
     assert document["summary"] is None
+
+
+#: Content-Length values that cannot frame a body -> status, code.
+#: Each is refused before any body byte is read, and the connection is
+#: closed because the rest of its bytes can no longer be parsed.
+CONTENT_LENGTH_TABLE = [
+    ("-1", 400, "bad-request"),
+    ("12abc", 400, "bad-request"),
+    (str(MAX_BODY_BYTES + 1), 413, "request-too-large"),
+]
+
+
+@pytest.mark.parametrize(
+    "length,status,code",
+    CONTENT_LENGTH_TABLE,
+    ids=["negative", "non-integer", "over-cap"],
+)
+def test_bad_content_length_fails_closed(running_service, length, status, code):
+    head = (
+        "POST /query HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    )
+    # No body follows: a server that trusted the header would wait for
+    # one, and the timeout turns that hang into a failure.
+    with socket.create_connection(
+        ("127.0.0.1", running_service.server.port), timeout=5
+    ) as sock:
+        sock.sendall(head.encode("ascii"))
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = json.loads(response.read())
+        assert response.status == status
+        assert body["error"]["code"] == code
+        assert body["error"]["status"] == status
+        assert response.getheader("Connection") == "close"
+        assert sock.recv(1) == b"", "the server kept the connection open"
+    metrics = running_service.get("/metrics")[1]
+    assert metrics["rejections"] == {code: 1}
 
 
 def test_unknown_routes_are_404(running_service):

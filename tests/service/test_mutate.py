@@ -3,45 +3,11 @@
 from __future__ import annotations
 
 import json
-import threading
+import time
 
-import pytest
-
-from repro.workloads.synthetic import SyntheticSpec, generate_collection
-from repro.workspace import build_workspace, load_manifest
+from repro.workspace import load_manifest
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
-
-
-@pytest.fixture()
-def mutable_service(tmp_path):
-    """A live service over a private workspace this test may mutate."""
-    from tests.conftest import ServiceHandle
-
-    from repro.service import JoinService, make_server
-
-    directory = tmp_path / "ws"
-    c1 = generate_collection(
-        SyntheticSpec("mut-c1", n_documents=25, avg_terms_per_doc=8,
-                      vocabulary_size=120, seed=7)
-    )
-    c2 = generate_collection(
-        SyntheticSpec("mut-c2", n_documents=20, avg_terms_per_doc=8,
-                      vocabulary_size=120, seed=8)
-    )
-    build_workspace(directory, c1, c2)
-    service = JoinService({"ws": str(directory)}, max_workers=4)
-    server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    handle = ServiceHandle(
-        service=service, server=server,
-        base_url=f"http://127.0.0.1:{server.port}",
-    )
-    yield handle, directory
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
 
 
 def mutate(handle, sql, workspace="ws"):
@@ -146,3 +112,23 @@ class TestMutateFailures:
         status, document = handle.query({"sql": JOIN_SQL})
         assert status == 200
         assert document["summary"]["rows"] >= 0
+
+
+def test_streams_yield_to_a_committing_mutation(service_workspace, monkeypatch):
+    """While a write commits, a query hands over the GIL before each block."""
+    from repro.service import JoinService, QueryRequest
+
+    service = JoinService({"ws": service_workspace})
+    request = QueryRequest.from_mapping({"sql": JOIN_SQL})
+    sleeps: list[float] = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+
+    alone = list(service.stream(request))
+    assert sleeps == []
+    with service._mutation_lock:
+        beside_a_write = list(service.stream(request))
+    blocks = [event for event in beside_a_write if event["event"] == "block"]
+    assert blocks and sleeps == [0] * len(blocks)
+    # Yielding changes scheduling only: the same events come back.
+    assert beside_a_write[:-1] == alone[:-1]
+    assert beside_a_write[-1]["rows"] == alone[-1]["rows"]
