@@ -1,8 +1,9 @@
 """The service core: workspaces in, admission control, event streams out.
 
 A :class:`JoinService` is the transport-independent heart of the query
-server.  At construction it loads every configured workspace directory
-into a warm :class:`~repro.core.environment.EnvironmentFactory` (and
+server.  At construction it opens every configured workspace directory
+as a :class:`~repro.workspace.snapshot.WorkspaceSnapshot` with a warm
+:class:`~repro.core.environment.EnvironmentFactory` over it (and
 touches every lazy artifact once, so concurrent queries only ever
 *read* the shared caches), then serves queries through
 :meth:`JoinService.stream`:
@@ -57,9 +58,9 @@ from repro.service.metrics import ServiceMetrics, phase_stats_payload
 from repro.service.schema import RESPONSE_SCHEMA
 from repro.sql.ast_nodes import SelectQuery
 from repro.sql.executor import iter_execute
-from repro.sql.mutations import execute_mutation
+from repro.sql.mutations import commit_statement
 from repro.sql.parser import parse, parse_statement
-from repro.workspace import load_manifest, manifest_fingerprint, workspace_catalog
+from repro.workspace import WorkspaceSnapshot, factory_catalog, open_snapshot
 
 #: exception-to-error-code mapping, most specific class first; the
 #: service-level test suite pins this table against the HTTP statuses
@@ -202,25 +203,24 @@ class MutateRequest:
 
 @dataclass(frozen=True)
 class LoadedWorkspace:
-    """One workspace the service resolved, loaded and warmed at startup."""
+    """One served workspace version: its snapshot plus the warm factory over it."""
 
     name: str
     directory: str
+    snapshot: WorkspaceSnapshot
     catalog: Any
     factory: Any
     system: SystemParams
-    fingerprint: str
-    self_join: bool
 
     def describe(self) -> dict[str, Any]:
         """A JSON-ready summary for ``GET /health``."""
         return {
             "directory": self.directory,
-            "fingerprint": self.fingerprint,
+            "fingerprint": self.snapshot.fingerprint,
             "inner_documents": self.factory.collection1.n_documents,
             "outer_documents": self.factory.collection2.n_documents,
             "page_bytes": self.system.page_bytes,
-            "self_join": self.self_join,
+            "self_join": bool(self.snapshot.manifest["self_join"]),
         }
 
 
@@ -278,15 +278,18 @@ class JoinService:
         self._mutations = 0
         self._workspaces: dict[str, LoadedWorkspace] = {}
         for name, directory in workspaces.items():
-            self._workspaces[name] = self._load(name, directory, buffer_pages)
+            self._workspaces[name] = self._serve(
+                name, directory, open_snapshot(directory)
+            )
 
-    # --- startup --------------------------------------------------------------
+    # --- snapshots ------------------------------------------------------------
 
-    def _load(
-        self, name: str, directory: str | Path, buffer_pages: int
+    def _serve(
+        self, name: str, directory: str | Path, snapshot: WorkspaceSnapshot
     ) -> LoadedWorkspace:
-        manifest = load_manifest(directory)
-        catalog, factory = workspace_catalog(directory)
+        """Serve one snapshot: a warm factory and catalog over it."""
+        factory = snapshot.factory()
+        catalog = factory_catalog(factory)
         # Touch every lazy artifact once: later create() calls are pure
         # reads of the populated caches, which is what makes serving the
         # factory from many request threads safe.
@@ -294,13 +297,13 @@ class JoinService:
         return LoadedWorkspace(
             name=name,
             directory=str(directory),
+            snapshot=snapshot,
             catalog=catalog,
             factory=factory,
             system=SystemParams(
-                buffer_pages=buffer_pages, page_bytes=manifest["page_bytes"]
+                buffer_pages=self._buffer_pages,
+                page_bytes=snapshot.manifest["page_bytes"],
             ),
-            fingerprint=manifest_fingerprint(manifest),
-            self_join=bool(manifest["self_join"]),
         )
 
     # --- introspection --------------------------------------------------------
@@ -375,12 +378,18 @@ class JoinService:
         """Apply one INSERT/DELETE statement and swap in the new snapshot.
 
         Writers are serialised on one mutation lock; readers are never
-        blocked.  The statement commits on disk atomically (the manifest
-        rewrite in :mod:`repro.workspace.mutate`), the workspace is
-        reloaded warm, and the service's handle is swapped in one
+        blocked.  The statement commits against the handle's resident
+        :class:`~repro.workspace.snapshot.WorkspaceSnapshot`: the delta
+        and the manifest land on disk atomically
+        (:func:`repro.workspace.mutate.commit`), and the next snapshot
+        reuses the base segments in memory, reading back only the delta
+        it wrote — nothing is reloaded.  A warm factory is built over
+        that snapshot and the service's handle is swapped in one
         assignment — queries admitted before the swap keep streaming
-        from the previous in-memory snapshot, queries admitted after it
-        see the new version.  Returns the JSON-ready mutation summary.
+        from the previous snapshot, queries admitted after it see the
+        new version.  If the directory was written behind the service's
+        back (the CLI), the commit reopens it first, so no write is
+        lost.  Returns the JSON-ready mutation summary.
         """
         slot = self.admit()
         started = time.perf_counter()
@@ -395,16 +404,15 @@ class JoinService:
                         "send SELECT queries to POST /query"
                     )
                 try:
-                    stats = execute_mutation(statement, handle.directory)
+                    stats, snapshot = commit_statement(statement, handle.snapshot)
                 except WorkspaceError as exc:
                     # Batch validation failures (deleting the last
                     # document, a term outside the vocabulary bound...)
                     # are the caller's mistake, not a broken service.
                     raise ServiceRequestError(str(exc)) from exc
-                reloaded = self._load(
-                    handle.name, handle.directory, self._buffer_pages
+                self._workspaces[handle.name] = self._serve(
+                    handle.name, handle.directory, snapshot
                 )
-                self._workspaces[handle.name] = reloaded
                 self._mutations += 1
             status = "ok"
             payload = stats.to_dict()

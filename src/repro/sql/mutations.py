@@ -6,7 +6,10 @@ ordinary ``Id`` attribute and a textual ``Doc`` attribute
 (:func:`repro.workspace.catalog.workspace_catalog`).  This module is the
 matching write path: an ``INSERT INTO R1 (Doc) VALUES ('...')`` or
 ``DELETE FROM R2 WHERE Id = 3`` statement becomes one atomic
-:class:`~repro.workspace.mutate.MutationBatch` against the directory.
+:class:`~repro.workspace.mutate.MutationBatch`, committed against a
+resident :class:`~repro.workspace.snapshot.WorkspaceSnapshot`
+(:func:`commit_statement`, the service's path) or a directory
+(:func:`execute_mutation`).
 
 Text becomes term numbers the same way the build path's
 :meth:`~repro.text.collection.DocumentCollection.from_texts` does: a
@@ -39,8 +42,12 @@ from repro.sql.catalog import Relation
 from repro.sql.planner import _predicate_survivors
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
-from repro.workspace.manifest import load_manifest
-from repro.workspace.mutate import MutationBatch, MutationStats, apply_mutations
+from repro.workspace.mutate import MutationBatch, MutationStats, commit
+from repro.workspace.snapshot import (
+    WorkspaceSnapshot,
+    current_snapshot,
+    open_snapshot,
+)
 
 #: relation name (upper-cased) to workspace collection role
 ROLE_BY_TABLE = {"R1": "c1", "R2": "c2"}
@@ -102,19 +109,16 @@ def _terms_for_text(
 
 
 def _insert_batch(
-    statement: InsertStatement, directory: Path, manifest: dict
+    statement: InsertStatement, snapshot: WorkspaceSnapshot
 ) -> MutationBatch:
-    role = _role_for(statement.table.name, manifest["self_join"])
+    role = _role_for(statement.table.name, snapshot.manifest["self_join"])
     if statement.column != TEXT_ATTRIBUTE:
         raise SqlSemanticError(
             f"INSERT targets column {statement.column!r}; the only "
             f"insertable column is the textual attribute {TEXT_ATTRIBUTE!r}"
         )
-    vocabulary = None
-    if manifest["vocabulary"] is not None:
-        vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
     term_lists = [
-        _terms_for_text(text, vocabulary, position)
+        _terms_for_text(text, snapshot.vocabulary, position)
         for position, text in enumerate(statement.values)
     ]
     return MutationBatch.from_term_lists(inserts={role: term_lists})
@@ -145,33 +149,47 @@ def _delete_batch(statement: DeleteStatement, manifest: dict) -> MutationBatch:
     return MutationBatch.from_term_lists(deletes={role: sorted(survivors)})
 
 
-def execute_mutation(
-    statement: Statement | str, directory: str | Path
-) -> MutationStats:
-    """Apply one INSERT or DELETE statement to a workspace directory.
+def commit_statement(
+    statement: Statement | str, snapshot: WorkspaceSnapshot
+) -> tuple[MutationStats, WorkspaceSnapshot]:
+    """Apply one INSERT or DELETE statement to an in-memory snapshot.
 
-    Accepts a parsed statement or raw SQL text.  Returns the
+    The statement resolves against the directory's current version (a
+    stale ``snapshot`` is reopened first) and commits through
+    :func:`~repro.workspace.mutate.commit`.  Returns the
     :class:`~repro.workspace.mutate.MutationStats` of the atomically
-    committed batch; any validation failure (unknown relation or
-    column, term outside the vocabulary, no matching rows, deleting the
-    last document) raises before anything is written.
+    committed batch and the snapshot after it; any validation failure
+    (unknown relation or column, term outside the vocabulary, no
+    matching rows, deleting the last document) raises before anything
+    is written.
     """
     if isinstance(statement, str):
         from repro.sql.parser import parse_statement
 
         statement = parse_statement(statement)
-    directory = Path(directory)
-    manifest = load_manifest(directory)
-    if isinstance(statement, InsertStatement):
-        batch = _insert_batch(statement, directory, manifest)
-    elif isinstance(statement, DeleteStatement):
-        batch = _delete_batch(statement, manifest)
-    else:
+    if not isinstance(statement, (InsertStatement, DeleteStatement)):
         raise SqlSemanticError(
             "execute_mutation handles INSERT and DELETE; run SELECT "
             "statements through repro.sql.execute"
         )
-    return apply_mutations(directory, batch)
+    snapshot = current_snapshot(snapshot)
+    if isinstance(statement, InsertStatement):
+        batch = _insert_batch(statement, snapshot)
+    else:
+        batch = _delete_batch(statement, snapshot.manifest)
+    return commit(snapshot, batch)
 
 
-__all__ = ["ROLE_BY_TABLE", "TEXT_ATTRIBUTE", "execute_mutation"]
+def execute_mutation(
+    statement: Statement | str, directory: str | Path
+) -> MutationStats:
+    """Apply one INSERT or DELETE statement to a workspace directory.
+
+    Accepts a parsed statement or raw SQL text; :func:`commit_statement`
+    against a freshly opened snapshot.
+    """
+    stats, _ = commit_statement(statement, open_snapshot(directory))
+    return stats
+
+
+__all__ = ["ROLE_BY_TABLE", "TEXT_ATTRIBUTE", "commit_statement", "execute_mutation"]

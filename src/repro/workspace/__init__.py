@@ -9,6 +9,9 @@ one join's collections:
 * :func:`build_workspace` derives and persists everything (d-cells,
   i-cells, term-tree leaves, optional vocabulary, checksummed
   manifest);
+* :func:`open_snapshot` reads the directory into a
+  :class:`WorkspaceSnapshot` — manifest, segments, live sides and
+  vocabulary in memory — the one place segments come off disk;
 * :func:`load_workspace` turns the directory back into a pre-populated
   :class:`~repro.core.environment.EnvironmentFactory` whose
   ``derivation_events()`` stay empty — environments assembled from it
@@ -23,8 +26,10 @@ Schema ``repro-workspace/3`` adds the **incremental write path**
 immutable base segments plus one trailing mutable delta, deletes become
 tombstones, and
 
-* :func:`apply_mutations` applies one insert/delete batch atomically by
-  rewriting only the small delta;
+* :func:`commit` applies one insert/delete batch atomically to a
+  snapshot by rewriting only the small delta, and returns the next
+  snapshot without reloading the base segments
+  (:func:`apply_mutations` is the same against a directory);
 * :func:`freeze_delta` seals the delta into a base segment (metadata
   only);
 * :func:`compact` folds everything back into one clean base segment,
@@ -37,7 +42,7 @@ See ``docs/WORKSPACE.md`` for the file format and workflow.
 """
 
 from repro.workspace.builder import build_workspace, collection_files
-from repro.workspace.catalog import workspace_catalog
+from repro.workspace.catalog import factory_catalog, workspace_catalog
 from repro.workspace.loader import load_workspace, verify_workspace
 from repro.workspace.manifest import (
     LEGACY_SEGMENT_ID,
@@ -61,6 +66,7 @@ from repro.workspace.mutate import (
     MutationBatch,
     MutationStats,
     apply_mutations,
+    commit,
     compact,
     freeze_delta,
 )
@@ -71,6 +77,7 @@ from repro.workspace.segments import (
     merged_view,
     write_segment,
 )
+from repro.workspace.snapshot import WorkspaceSnapshot, open_snapshot
 
 __all__ = [
     "LEGACY_SEGMENT_ID",
@@ -83,11 +90,14 @@ __all__ = [
     "WORKSPACE_SCHEMA",
     "WORKSPACE_SCHEMA_V1",
     "WORKSPACE_SCHEMA_V3",
+    "WorkspaceSnapshot",
     "apply_mutations",
     "build_manifest",
     "build_workspace",
     "collection_files",
+    "commit",
     "compact",
+    "factory_catalog",
     "file_checksum",
     "freeze_delta",
     "load_manifest",
@@ -98,6 +108,7 @@ __all__ = [
     "manifest_segments",
     "manifest_version",
     "merged_view",
+    "open_snapshot",
     "save_manifest",
     "segment_fingerprint",
     "validate_manifest",

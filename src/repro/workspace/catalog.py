@@ -18,17 +18,16 @@ from repro.sql.catalog import Catalog, Relation
 from repro.workspace.loader import load_workspace
 
 
-def workspace_catalog(directory: str | Path) -> tuple[Catalog, EnvironmentFactory]:
-    """A catalog (``R1``/``R2`` over ``Id`` + textual ``Doc``) plus its factory.
+def factory_catalog(factory: EnvironmentFactory) -> Catalog:
+    """A catalog (``R1``/``R2`` over ``Id`` + textual ``Doc``) bound to ``factory``.
 
-    ``R1.Doc`` is the workspace's inner collection and ``R2.Doc`` the
+    ``R1.Doc`` is the factory's inner collection and ``R2.Doc`` the
     outer one; for a self-join workspace both relations bind the same
     collection, and a ``R1 JOIN R2`` query runs the shared-storage
-    self-join path.  The returned factory is already registered with the
-    catalog — queries whose plan joins exactly these collections reuse
-    its artifacts.
+    self-join path.  The factory is registered with the catalog —
+    queries whose plan joins exactly these collections reuse its
+    artifacts.
     """
-    factory = load_workspace(directory)
     catalog = Catalog()
     catalog.register(
         Relation.from_rows(
@@ -41,7 +40,13 @@ def workspace_catalog(directory: str | Path) -> tuple[Catalog, EnvironmentFactor
         ).bind_text("Doc", factory.collection2)
     )
     catalog.register_factory(factory)
-    return catalog, factory
+    return catalog
 
 
-__all__ = ["workspace_catalog"]
+def workspace_catalog(directory: str | Path) -> tuple[Catalog, EnvironmentFactory]:
+    """A workspace directory's catalog (:func:`factory_catalog`) and its factory."""
+    factory = load_workspace(directory)
+    return factory_catalog(factory), factory
+
+
+__all__ = ["factory_catalog", "workspace_catalog"]

@@ -1,7 +1,9 @@
 """Load and verify workspaces: query-time construction without rebuild.
 
 :func:`load_workspace` turns a workspace directory into a pre-populated
-:class:`~repro.core.environment.EnvironmentFactory`.  Both manifest
+:class:`~repro.core.environment.EnvironmentFactory` — it opens a
+:class:`~repro.workspace.snapshot.WorkspaceSnapshot` and asks it for a
+factory, the same assembly the service uses after each commit.  Both manifest
 generations go through the same segment path
 (:func:`~repro.workspace.manifest.manifest_segments` presents a v1/v2
 build-once workspace as one synthetic base segment):
@@ -34,8 +36,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.environment import EnvironmentFactory, EnvironmentSpec
-from repro.errors import ReproError, WorkspaceError
+from repro.core.environment import EnvironmentFactory
+from repro.errors import ReproError
 from repro.index.bptree import BPlusTree
 from repro.index.btree_io import layout_signature
 from repro.index.codecs import resolve_codec
@@ -45,7 +47,6 @@ from repro.text.vocabulary import Vocabulary
 from repro.workspace.manifest import (
     file_checksum,
     load_manifest,
-    manifest_codec,
     manifest_files,
     manifest_segments,
 )
@@ -55,40 +56,12 @@ from repro.workspace.segments import (
     load_segment,
     merged_view,
 )
-
-
-def _roles(manifest: Mapping[str, Any]) -> tuple[str, ...]:
-    return ("c1",) if manifest["self_join"] else ("c1", "c2")
-
-
-def _check_sizes(directory: Path, manifest: Mapping[str, Any]) -> None:
-    """Cheap pre-flight: every checksummed file exists with its size."""
-    for file_name, entry in manifest_files(manifest).items():
-        path = directory / file_name
-        if not path.is_file():
-            raise WorkspaceError(f"workspace is missing artifact file {path}")
-        actual_bytes = path.stat().st_size
-        if actual_bytes != entry["bytes"]:
-            raise WorkspaceError(
-                f"{path}: has {actual_bytes} bytes, manifest records "
-                f"{entry['bytes']} (truncated or replaced artifact)"
-            )
-
-
-def _workspace_spec(manifest: Mapping[str, Any]) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        codec=manifest_codec(manifest),
-    )
-
-
-def _is_single_clean_base(records: list[dict[str, Any]]) -> bool:
-    return (
-        len(records) == 1
-        and records[0]["kind"] == "base"
-        and not any(records[0].get("tombstones", {}).values())
-    )
+from repro.workspace.snapshot import (
+    is_single_clean_base,
+    open_snapshot,
+    workspace_roles,
+    workspace_spec,
+)
 
 
 def load_workspace(directory: str | Path) -> EnvironmentFactory:
@@ -105,65 +78,7 @@ def load_workspace(directory: str | Path) -> EnvironmentFactory:
     :class:`~repro.errors.BPlusTreeError` with byte-level context); in a
     segmented workspace the message leads with the failing segment id.
     """
-    directory = Path(directory)
-    manifest = load_manifest(directory)
-    _check_sizes(directory, manifest)
-    spec = _workspace_spec(manifest)
-    roles = _roles(manifest)
-    records = manifest_segments(manifest)
-    segments = [
-        load_segment(directory, record, btree_order=manifest["btree_order"])
-        for record in records
-    ]
-
-    if _is_single_clean_base(records):
-        # The build-once fast path (every v1/v2 workspace, and any v3
-        # workspace after compaction): the stored artifacts ARE the live
-        # view, so they preload directly with no merge work at all.
-        only = segments[0]
-        for role in roles:
-            declared = manifest["collections"][role]["n_documents"]
-            loaded = only.collections[role].n_documents
-            if loaded != declared:
-                raise WorkspaceError(
-                    f"collection {manifest['collections'][role]['name']!r} "
-                    f"loads {loaded} documents, manifest records {declared}"
-                )
-        collection2 = None if manifest["self_join"] else only.collections["c2"]
-        factory = EnvironmentFactory(only.collections["c1"], collection2, spec)
-        for side_number, role in enumerate(roles, start=1):
-            factory.preload_side(
-                side_number, only.inverted[role], only.btrees[role]
-            )
-    else:
-        sides = {
-            role: merged_view(
-                role, manifest["collections"][role]["name"], segments, spec
-            )
-            for role in roles
-        }
-        for role in roles:
-            declared = manifest["collections"][role]["n_documents"]
-            merged = sides[role].collection.n_documents
-            if merged != declared:
-                raise WorkspaceError(
-                    f"collection {manifest['collections'][role]['name']!r} "
-                    f"merges to {merged} live documents, manifest records "
-                    f"{declared}"
-                )
-        collection2 = None if manifest["self_join"] else sides["c2"].collection
-        factory = EnvironmentFactory(sides["c1"].collection, collection2, spec)
-        for side_number, role in enumerate(roles, start=1):
-            factory.preload_merged_side(
-                side_number,
-                sides[role].inverted,
-                sides[role].btree,
-                n_segments=len(segments),
-            )
-
-    if manifest["vocabulary"] is not None:
-        factory.vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
-    return factory
+    return open_snapshot(directory).factory()
 
 
 def _verify_side(
@@ -287,9 +202,9 @@ def verify_workspace(directory: str | Path) -> list[str]:
     if problems:
         return problems
 
-    roles = _roles(manifest)
+    roles = workspace_roles(manifest)
     records = manifest_segments(manifest)
-    single_clean = _is_single_clean_base(records)
+    single_clean = is_single_clean_base(records)
     segments: list[LoadedSegment] = []
     for record in records:
         seg_id = record["id"]
@@ -323,7 +238,7 @@ def verify_workspace(directory: str | Path) -> list[str]:
     if problems or len(segments) != len(records):
         return problems
 
-    spec = _workspace_spec(manifest)
+    spec = workspace_spec(manifest)
     max_term = -1
     for role in roles:
         declared = manifest["collections"][role]

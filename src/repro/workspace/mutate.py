@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.environment import EnvironmentSpec
 from repro.errors import WorkspaceError
 from repro.storage.iostats import IOStats
 from repro.storage.pages import PageGeometry  # repro: ignore[RA-CORE-IO] -- maintenance pricing, not query I/O
@@ -42,6 +41,7 @@ from repro.text.collection import DocumentCollection
 from repro.text.document import Document
 from repro.text.vocabulary import Vocabulary
 from repro.workspace.manifest import (
+    WORKSPACE_SCHEMA_V3,
     build_manifest,
     load_manifest,
     manifest_codec,
@@ -49,13 +49,22 @@ from repro.workspace.manifest import (
     manifest_segments,
     manifest_version,
     save_manifest,
+    segment_fingerprint,
 )
 from repro.workspace.segments import (
     LoadedSegment,
+    collection_stats,
     load_segment,
-    merged_view,
-    segment_directory,
     write_segment,
+)
+from repro.workspace.snapshot import (
+    WorkspaceSnapshot,
+    check_sizes,
+    current_snapshot,
+    is_single_clean_base,
+    open_snapshot,
+    side_view,
+    workspace_roles,
 )
 
 #: one inserted document: its d-cells, ``(term, weight)`` sorted by term
@@ -138,18 +147,6 @@ class MutationStats:
         }
 
 
-def _roles(manifest: Mapping[str, Any]) -> tuple[str, ...]:
-    return ("c1",) if manifest["self_join"] else ("c1", "c2")
-
-
-def _spec_for(manifest: Mapping[str, Any]) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        page_bytes=manifest["page_bytes"],
-        btree_order=manifest["btree_order"],
-        codec=manifest_codec(manifest),
-    )
-
-
 def _file_pages(files: Mapping[str, Any], geometry: PageGeometry, io: IOStats) -> int:
     """Charge whole pages per checksummed file; returns the total."""
     total = 0
@@ -160,40 +157,10 @@ def _file_pages(files: Mapping[str, Any], geometry: PageGeometry, io: IOStats) -
     return total
 
 
-def _load_segments(
-    directory: Path, manifest: Mapping[str, Any]
-) -> list[LoadedSegment]:
-    return [
-        load_segment(directory, record, btree_order=manifest["btree_order"])
-        for record in manifest_segments(manifest)
-    ]
-
-
-def _merged_stats(
-    manifest: Mapping[str, Any],
-    segments: list[LoadedSegment],
-    spec: EnvironmentSpec,
-) -> tuple[dict[str, Any], dict[str, "Any"]]:
-    """Top-level collection stats plus the merged sides themselves."""
-    from repro.workspace.segments import collection_stats
-
-    stats: dict[str, Any] = {}
-    sides: dict[str, Any] = {}
-    for role in _roles(manifest):
-        name = manifest["collections"][role]["name"]
-        side = merged_view(role, name, segments, spec)
-        sides[role] = side
-        stats[role] = collection_stats(side.collection)
-    return stats, sides
-
-
-def _check_vocabulary(
-    directory: Path, manifest: Mapping[str, Any], batch: MutationBatch
-) -> None:
+def _check_vocabulary(vocabulary: Vocabulary | None, batch: MutationBatch) -> None:
     """Inserted terms must stay inside the workspace vocabulary."""
-    if manifest.get("vocabulary") is None:
+    if vocabulary is None:
         return
-    vocabulary = Vocabulary.load(directory / manifest["vocabulary"])
     for role, docs in batch.inserts.items():
         for cells in docs:
             for term, _ in cells:
@@ -203,6 +170,15 @@ def _check_vocabulary(
                         f"workspace vocabulary holds {len(vocabulary)} terms; "
                         "a frozen standard vocabulary admits no new words"
                     )
+
+
+def _vocabulary_files(manifest: Mapping[str, Any]) -> dict[str, Any]:
+    """The workspace-level file map a v3 manifest keeps (the vocabulary)."""
+    return {
+        name: entry
+        for name, entry in manifest["files"].items()
+        if name == manifest.get("vocabulary")
+    }
 
 
 def _remove_segment_files(directory: Path, record: Mapping[str, Any]) -> None:
@@ -223,7 +199,7 @@ def _remove_segment_files(directory: Path, record: Mapping[str, Any]) -> None:
 def _validate_batch(
     manifest: Mapping[str, Any], batch: MutationBatch, live: Mapping[str, int]
 ) -> None:
-    roles = _roles(manifest)
+    roles = workspace_roles(manifest)
     for section_name, section in (("inserts", batch.inserts), ("deletes", batch.deletes)):
         unknown = sorted(set(section) - set(roles))
         if unknown:
@@ -255,10 +231,32 @@ def _validate_batch(
             seen.add(doc_id)
 
 
-def apply_mutations(
-    directory: str | Path, batch: MutationBatch, *, clamp_weights: bool = False
-) -> MutationStats:
-    """Apply one batch atomically; returns the page-priced summary.
+def _touched_roles(
+    roles: tuple[str, ...], batch: MutationBatch, old_delta: LoadedSegment | None
+) -> set[str]:
+    """Roles whose live view a commit changes: batched, or carried by the delta."""
+    touched = {
+        role
+        for role in roles
+        if batch.inserts.get(role) or batch.deletes.get(role)
+    }
+    if old_delta is not None:
+        touched.update(old_delta.collections)
+        touched.update(
+            role
+            for role, marks in old_delta.record.get("tombstones", {}).items()
+            if marks
+        )
+    return touched
+
+
+def commit(
+    snapshot: WorkspaceSnapshot,
+    batch: MutationBatch,
+    *,
+    clamp_weights: bool = False,
+) -> tuple[MutationStats, WorkspaceSnapshot]:
+    """Apply one batch atomically; returns its pricing and the next snapshot.
 
     Rewrites the (small) delta segment — its surviving documents, the
     batch's inserts, and the union of tombstones — as a brand-new
@@ -266,29 +264,37 @@ def apply_mutations(
     referencing it.  Base segments are never touched, which is what
     keeps the write cost proportional to the delta, not the dataset.
 
+    The next snapshot reuses ``snapshot``'s base segments and reads back
+    only the delta just written, so it serves exactly what is on disk.
+    Only roles the batch or a delta touches are merged again; every
+    other role keeps its :class:`~repro.workspace.segments.MergedSide`.
+    When the directory's manifest no longer matches ``snapshot`` (a
+    write made elsewhere), the directory is opened afresh first.
+
     A pre-v3 workspace is upgraded in place: its artifacts become the
     first base segment without being rewritten.
     """
-    directory = Path(directory)
+    directory = snapshot.directory
     manifest = load_manifest(directory)
     if batch.empty:
         raise WorkspaceError("a mutation batch must insert or delete something")
-    spec = _spec_for(manifest)
+    snapshot = current_snapshot(snapshot, manifest)
+    check_sizes(directory, manifest)
+    spec = snapshot.spec
     geometry = spec.geometry()
-    roles = _roles(manifest)
-    records = manifest_segments(manifest)
-    segments = _load_segments(directory, manifest)
-    _, sides = _merged_stats(manifest, segments, spec)
+    roles = snapshot.roles
+    sides = snapshot.sides
     _validate_batch(
         manifest,
         batch,
         {role: sides[role].collection.n_documents for role in roles},
     )
-    _check_vocabulary(directory, manifest, batch)
+    _check_vocabulary(snapshot.vocabulary, batch)
 
+    segments = list(snapshot.segments)
     old_delta: LoadedSegment | None = None
     base_segments = segments
-    if records[-1]["kind"] == "delta":
+    if segments[-1].record["kind"] == "delta":
         old_delta = segments[-1]
         base_segments = segments[:-1]
 
@@ -298,13 +304,11 @@ def apply_mutations(
     deleted = {role: len(batch.deletes.get(role, ())) for role in roles}
     drop_delta: dict[str, set[int]] = {role: set() for role in roles}
     new_tombstones: dict[str, list[tuple[str, int]]] = {role: [] for role in roles}
-    by_global = {
-        role: {v: k for k, v in sides[role].global_ids.items()} for role in roles
-    }
     delta_id = None if old_delta is None else old_delta.segment_id
     for role, doc_ids in batch.deletes.items():
+        by_global = {v: k for k, v in sides[role].global_ids.items()}
         for doc_id in doc_ids:
-            seg_id, local = by_global[role][doc_id]
+            seg_id, local = by_global[doc_id]
             if seg_id == delta_id:
                 drop_delta[role].add(local)
             else:
@@ -377,21 +381,28 @@ def apply_mutations(
         )
         pages_written = _file_pages(record["files"], geometry, io_written)
         new_records.append(record)
+        # Read the delta back: the snapshot serves what is on disk.
         new_segments.append(
             load_segment(directory, record, btree_order=spec.btree_order)
         )
 
-    stats, _ = _merged_stats(manifest, new_segments, spec)
+    touched = _touched_roles(roles, batch, old_delta)
+    new_sides = {
+        role: side_view(
+            role, manifest["collections"][role]["name"], new_segments, spec
+        )
+        if role in touched
+        else sides[role]
+        for role in roles
+    }
     new_manifest = build_manifest(
         page_bytes=manifest["page_bytes"],
         btree_order=manifest["btree_order"],
         self_join=manifest["self_join"],
-        collections=stats,
-        files={
-            name: entry
-            for name, entry in manifest["files"].items()
-            if name == manifest.get("vocabulary")
+        collections={
+            role: collection_stats(new_sides[role].collection) for role in roles
         },
+        files=_vocabulary_files(manifest),
         vocabulary=manifest.get("vocabulary"),
         codec=manifest_codec(manifest),
         segments=new_records,
@@ -400,11 +411,12 @@ def apply_mutations(
     save_manifest(new_manifest, directory)
     if old_delta is not None:
         _remove_segment_files(directory, old_delta.record)
-    return MutationStats(
+    fingerprint = manifest_fingerprint(new_manifest)
+    stats = MutationStats(
         operation="apply_mutations",
         changed=True,
         version=version,
-        fingerprint=manifest_fingerprint(new_manifest),
+        fingerprint=fingerprint,
         inserted=inserted,
         deleted=deleted,
         tombstones_added=sum(len(marks) for marks in new_tombstones.values()),
@@ -414,6 +426,26 @@ def apply_mutations(
         io_written=io_written,
         io_read=io_read,
     )
+    return stats, WorkspaceSnapshot(
+        directory=directory,
+        manifest=new_manifest,
+        fingerprint=fingerprint,
+        segments=tuple(new_segments),
+        sides=new_sides,
+        vocabulary=snapshot.vocabulary,
+    )
+
+
+def apply_mutations(
+    directory: str | Path, batch: MutationBatch, *, clamp_weights: bool = False
+) -> MutationStats:
+    """Apply one batch to a workspace directory; returns the page-priced summary.
+
+    :func:`commit` against a freshly opened snapshot — the entry point
+    for one-shot writers (the CLI, scripts) that keep no snapshot.
+    """
+    stats, _ = commit(open_snapshot(directory), batch, clamp_weights=clamp_weights)
+    return stats
 
 
 def freeze_delta(directory: str | Path) -> MutationStats:
@@ -434,8 +466,6 @@ def freeze_delta(directory: str | Path) -> MutationStats:
             fingerprint=manifest_fingerprint(manifest),
             segments=tuple(record["id"] for record in records),
         )
-    from repro.workspace.manifest import segment_fingerprint
-
     version = manifest_version(manifest) + 1
     sealed = dict(records[-1])
     sealed["kind"] = "base"
@@ -474,15 +504,7 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
     directory = Path(directory)
     manifest = load_manifest(directory)
     records = manifest_segments(manifest)
-    spec = _spec_for(manifest)
-    geometry = spec.geometry()
-    already_compact = (
-        manifest["schema"] == "repro-workspace/3"
-        and len(records) == 1
-        and records[0]["kind"] == "base"
-        and not any(records[0].get("tombstones", {}).values())
-    )
-    if already_compact:
+    if manifest["schema"] == WORKSPACE_SCHEMA_V3 and is_single_clean_base(records):
         return MutationStats(
             operation="compact",
             changed=False,
@@ -491,17 +513,18 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
             segments=(records[0]["id"],),
         )
 
-    segments = _load_segments(directory, manifest)
+    snapshot = open_snapshot(directory, manifest)
+    spec = snapshot.spec
+    geometry = spec.geometry()
     io_read = IOStats()  # repro: ignore[RA-CONTEXT] -- maintenance I/O, outside any query context
     pages_read = 0
     for record in records:
         pages_read += _file_pages(record["files"], geometry, io_read)
 
-    _, sides = _merged_stats(manifest, segments, spec)
     version = manifest_version(manifest) + 1
     seg_id = f"seg-{version:06d}"
     merged_collections = {
-        role: sides[role].collection for role in _roles(manifest)
+        role: side.collection for role, side in snapshot.sides.items()
     }
     record = write_segment(
         directory,
@@ -514,21 +537,15 @@ def compact(directory: str | Path, *, clamp_weights: bool = False) -> MutationSt
     )
     io_written = IOStats()  # repro: ignore[RA-CONTEXT] -- maintenance I/O, outside any query context
     pages_written = _file_pages(record["files"], geometry, io_written)
-    from repro.workspace.segments import collection_stats
-
-    stats = {
-        role: collection_stats(sides[role].collection) for role in _roles(manifest)
-    }
     new_manifest = build_manifest(
         page_bytes=manifest["page_bytes"],
         btree_order=manifest["btree_order"],
         self_join=manifest["self_join"],
-        collections=stats,
-        files={
-            name: entry
-            for name, entry in manifest["files"].items()
-            if name == manifest.get("vocabulary")
+        collections={
+            role: collection_stats(collection)
+            for role, collection in merged_collections.items()
         },
+        files=_vocabulary_files(manifest),
         vocabulary=manifest.get("vocabulary"),
         codec=manifest_codec(manifest),
         segments=[record],
@@ -554,6 +571,7 @@ __all__ = [
     "MutationBatch",
     "MutationStats",
     "apply_mutations",
+    "commit",
     "compact",
     "freeze_delta",
 ]

@@ -10,6 +10,8 @@ justification.
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.engine import analyze_paths
 from repro.analysis.rules import default_rules
@@ -17,43 +19,39 @@ from repro.analysis.rules import default_rules
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
 
-def run_self_analysis():
+@pytest.fixture(scope="module")
+def report():
+    """One whole-package analysis shared by every assertion below."""
     return analyze_paths([PACKAGE_ROOT], default_rules())
 
 
 class TestSelfClean:
-    def test_zero_unsuppressed_findings(self):
-        report = run_self_analysis()
+    def test_zero_unsuppressed_findings(self, report):
         assert report.clean, "\n".join(
             f"{f.location}: {f.rule_id}: {f.message}" for f in report.findings
         )
 
-    def test_at_least_twelve_active_rules(self):
-        report = run_self_analysis()
+    def test_at_least_twelve_active_rules(self, report):
         assert len(report.rule_ids) >= 12
 
-    def test_program_rules_are_active(self):
+    def test_program_rules_are_active(self, report):
         # The whole-program families must run in the self-check: a clean
         # report with them disabled would be vacuous.
-        report = run_self_analysis()
         for rule_id in ("RA-PAR-SAFE", "RA-STREAM", "RA-STALE-SUPPRESS"):
             assert rule_id in report.rule_ids
 
-    def test_no_stale_suppressions_in_tree(self):
+    def test_no_stale_suppressions_in_tree(self, report):
         # Every in-tree suppression must absorb a live finding; the
         # stale-suppress rule would report any that rotted.
-        report = run_self_analysis()
         stale = [f for f in report.findings if f.rule_id == "RA-STALE-SUPPRESS"]
         assert stale == []
 
-    def test_analyzes_the_whole_package(self):
-        report = run_self_analysis()
+    def test_analyzes_the_whole_package(self, report):
         # the package is 80+ modules; a collapsed run would be a test bug
         assert report.n_files >= 70
 
-    def test_every_suppression_is_justified(self):
+    def test_every_suppression_is_justified(self, report):
         # A suppression must say why: "# repro: ignore[ID] -- reason".
-        report = run_self_analysis()
         assert report.suppressed, "expected the documented in-tree suppressions"
         pattern = re.compile(r"#\s*repro:\s*ignore\[[^\]]+\]\s*--\s*\S")
         for finding in report.suppressed:

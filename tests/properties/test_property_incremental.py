@@ -149,3 +149,94 @@ def test_verify_stays_clean_under_any_interleaving(tmp_path_factory, operations)
         else:
             compact(directory)
         assert verify_workspace(directory) == []
+
+
+# one warm-chain step: a service write, or an out-of-band directory write
+_side = st.sampled_from(["R1", "R2"])
+_warm_step = st.one_of(
+    st.tuples(st.just("insert"), _side, st.lists(_term_list, min_size=1, max_size=2)),
+    st.tuples(st.just("delete"), _side, st.integers(min_value=0, max_value=10 ** 6)),
+    st.tuples(
+        st.just("apply"),
+        st.lists(_term_list, min_size=0, max_size=2),
+        st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                 min_size=0, max_size=2, unique=True),
+    ),
+    st.tuples(st.just("freeze")),
+    st.tuples(st.just("compact")),
+)
+
+
+def _assert_served_equals_cold(service, directory) -> None:
+    """The service's warm factory and a cold load agree on every observable."""
+    served = service._workspaces["ws"].factory
+    cold = load_workspace(directory)
+    cold.create()
+    assert served.build_counts() == cold.build_counts()
+    system = SystemParams(buffer_pages=64, page_bytes=PAGE_BYTES)
+    spec = TextJoinSpec(lam=2)
+    warm_result = IntegratedJoin(served.create(), system).run(spec)
+    cold_result = IntegratedJoin(cold.create(), system).run(spec)
+    assert warm_result.algorithm == cold_result.algorithm
+    assert warm_result.matches == cold_result.matches
+    assert warm_result.io.by_extent == cold_result.io.by_extent
+
+
+@settings(max_examples=12, deadline=None)
+@given(steps=st.lists(_warm_step, min_size=1, max_size=6))
+def test_warm_commit_chain_equals_a_cold_open(tmp_path_factory, steps):
+    """Snapshots chained through JoinService.mutate match a cold load.
+
+    Out-of-band writes (apply/freeze/compact straight on the directory)
+    move the manifest behind the service's snapshot; the next service
+    write must notice the fingerprint change and reopen the directory.
+    """
+    from repro.core.environment import EnvironmentSpec
+    from repro.service import JoinService, MutateRequest
+
+    directory = tmp_path_factory.mktemp("prop-warm") / "ws"
+    inner = [((1, 1), (2, 1)), ((3, 2),), ((1, 1), (4, 1)), ((5, 3), (9, 1))]
+    outer = [((2, 2), (3, 1)), ((4, 1), (9, 2)), ((1, 1),)]
+    build_workspace(
+        directory,
+        DocumentCollection("warm-c1", [Document(i, c) for i, c in enumerate(inner)]),
+        DocumentCollection("warm-c2", [Document(i, c) for i, c in enumerate(outer)]),
+        spec=EnvironmentSpec(page_bytes=PAGE_BYTES),
+    )
+    service = JoinService({"ws": str(directory)})
+    live = {"R1": inner, "R2": outer}
+    for step in steps:
+        kind = step[0]
+        if kind == "insert":
+            _, table, term_lists = step
+            values = ", ".join(
+                "('" + " ".join(map(str, terms)) + "')" for terms in term_lists
+            )
+            sql = f"INSERT INTO {table} (Doc) VALUES {values}"
+            live[table] = live[table] + [
+                Document.from_terms(0, terms).cells for terms in term_lists
+            ]
+        elif kind == "delete":
+            _, table, pick = step
+            if len(live[table]) < 2:
+                continue
+            doc_id = pick % len(live[table])
+            sql = f"DELETE FROM {table} WHERE Id = {doc_id}"
+            live[table] = [c for i, c in enumerate(live[table]) if i != doc_id]
+        elif kind == "apply":
+            batch = _apply_to_model(live["R1"], step)
+            if batch is not None:
+                apply_mutations(directory, batch)
+            continue
+        elif kind == "freeze":
+            freeze_delta(directory)
+            continue
+        else:
+            compact(directory)
+            continue
+        service.mutate(MutateRequest(sql=sql))
+        _assert_served_equals_cold(service, directory)
+        served = service._workspaces["ws"].factory
+        assert [d.cells for d in served.collection1] == live["R1"]
+        assert [d.cells for d in served.collection2] == live["R2"]
+    assert verify_workspace(directory) == []

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
+import repro.workspace.segments as segments
 from repro.workspace import load_manifest
 
 JOIN_SQL = "SELECT R2.Id, R1.Id FROM R1, R2 WHERE R1.Doc SIMILAR_TO(3) R2.Doc"
@@ -132,3 +134,60 @@ def test_streams_yield_to_a_committing_mutation(service_workspace, monkeypatch):
     # Yielding changes scheduling only: the same events come back.
     assert beside_a_write[:-1] == alone[:-1]
     assert beside_a_write[-1]["rows"] == alone[-1]["rows"]
+
+
+def count_calls(monkeypatch, function) -> list[tuple]:
+    """Record every call of ``function`` through any ``repro`` module binding."""
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, function.__name__, None)
+        if name.startswith("repro") and bound is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+class TestWorkPerWrite:
+    """One /mutate reads back only its delta and re-merges only touched roles."""
+
+    def test_each_write_loads_its_delta_once(self, mutable_service, monkeypatch):
+        handle, _ = mutable_service
+        loads = count_calls(monkeypatch, segments.load_segment)
+        merges = count_calls(monkeypatch, segments.merged_view)
+
+        def write(sql):
+            loads.clear()
+            merges.clear()
+            status, payload = mutate(handle, sql)
+            assert status == 200, payload
+            return [args[0] for args in merges]
+
+        # first write: the clean base stays in memory, only c1 re-merges
+        assert write("INSERT INTO R1 (Doc) VALUES ('1 2 3'), ('4 5')") == ["c1"]
+        assert len(loads) == 1
+        # a delta exists now: c1 (in the delta) and c2 (the batch) re-merge
+        assert sorted(write("DELETE FROM R2 WHERE Id = 3")) == ["c1", "c2"]
+        assert len(loads) == 1
+        # a write touching one role still re-merges what the delta carries
+        assert sorted(write("INSERT INTO R2 (Doc) VALUES ('7')")) == ["c1", "c2"]
+        assert len(loads) == 1
+
+    def test_a_write_that_leaves_no_delta_loads_nothing(
+        self, mutable_service, monkeypatch
+    ):
+        handle, _ = mutable_service
+        status, payload = mutate(handle, "INSERT INTO R1 (Doc) VALUES ('1 2 3')")
+        assert status == 200, payload
+        loads = count_calls(monkeypatch, segments.load_segment)
+        merges = count_calls(monkeypatch, segments.merged_view)
+        # deleting the one inserted document empties the delta: the
+        # workspace is its clean base again, which merges nothing
+        status, payload = mutate(handle, "DELETE FROM R1 WHERE Id = 25")
+        assert status == 200, payload
+        assert payload["segments"] == ["seg-000000"]
+        assert loads == []
+        assert merges == []

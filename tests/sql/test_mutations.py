@@ -144,6 +144,38 @@ class TestVocabularyWorkspace:
                 "INSERT INTO R1 (Doc) VALUES ('zebra')", prose_workspace
             )
 
+    def test_an_insert_reads_the_vocabulary_once(
+        self, prose_workspace, monkeypatch
+    ):
+        loads = []
+        original = Vocabulary.load.__func__
+
+        def counting(cls, path):
+            loads.append(path)
+            return original(cls, path)
+
+        monkeypatch.setattr(Vocabulary, "load", classmethod(counting))
+        execute_mutation(
+            "INSERT INTO R1 (Doc) VALUES ('quick brown dogs')", prose_workspace
+        )
+        assert len(loads) == 1
+
+    def test_a_snapshot_commit_reads_no_vocabulary(
+        self, prose_workspace, monkeypatch
+    ):
+        from repro.sql.mutations import commit_statement
+        from repro.workspace import open_snapshot
+
+        snapshot = open_snapshot(prose_workspace)
+        monkeypatch.setattr(Vocabulary, "load", None)
+        stats, after = commit_statement(
+            "INSERT INTO R1 (Doc) VALUES ('lazy fox')", snapshot
+        )
+        assert stats.inserted["c1"] == 1
+        assert after.vocabulary is snapshot.vocabulary
+        with pytest.raises(SqlSemanticError, match="not in the"):
+            commit_statement("INSERT INTO R1 (Doc) VALUES ('zebra')", after)
+
 
 class TestSelfJoinWorkspace:
     @pytest.fixture()
